@@ -40,11 +40,11 @@
  * home falls back to the 4-hop memory supply. The FwdDone is
  * address-only and off the requester's critical path, so the latency
  * win is intact. Peers reuse the
- * exact snooping state machines: a Fwd applies onBusTxn(ReadShared) to
- * the owner (M->O supply, or ownership transfer), an Inv applies
- * onBusTxn(ReadExclusive/Upgrade) to each sharer — so mem/cache.* and
- * the NI device models behave bit-identically to their bus selves,
- * only the transport differs.
+ * exact snooping transitions (mem/moesi.hpp's snoopStep): a Fwd applies
+ * onBusTxn(ReadShared) to the owner (M->O supply, or ownership
+ * transfer), an Inv applies onBusTxn(ReadExclusive/Upgrade) to each
+ * sharer — so the caches and the NI device models behave
+ * bit-identically to their bus selves, only the transport differs.
  *
  * The directory itself is either an exact full map (DirParams::entries
  * == 0) or sparse: a set-associative entry cache per home (entries /

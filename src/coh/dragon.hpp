@@ -8,7 +8,7 @@
  * The classic Sc/Sm states map straight onto the MOESI lattice
  * (mem/moesi.hpp: Sc = Shared, Sm = Owned — the last writer supplies,
  * home is stale), so the caches need no new states, only an update
- * install path (Cache::onBusTxn TxnKind::Update).
+ * install path (mem/moesi.hpp's snoopStep on TxnKind::Update).
  *
  * Mechanically this is the home-node directory (coh/directory.hpp)
  * with the update hook on: exclusive requests (GetM/Upgrade) send

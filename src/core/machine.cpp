@@ -314,15 +314,6 @@ Machine::Machine(MachineSpec spec) : spec_(std::move(spec))
     if (kernel_) {
         net_->bindShards(kernel_.get());
         kernel_->setLookahead(net_->minLatency());
-        if (spec_.net.distLookahead) {
-            // The kernel outlives every window it runs, and net_ outlives
-            // the kernel's use (both members of this machine), so a raw
-            // capture is safe.
-            Interconnect *net = net_.get();
-            kernel_->setPairLatency([net](int s, int d) {
-                return net->pairLatency(s, d);
-            });
-        }
     }
     group_ = std::make_unique<TaskGroup>(eq_);
 
@@ -562,10 +553,6 @@ Machine::report() const
         w.key("lookahead").value(std::uint64_t(kernel_->lookahead()));
         w.key("windows").value(kernel_->windows());
         w.key("barrier_posts").value(kernel_->barrierPosts());
-        // Key present only when the feature is on: default-lookahead
-        // reports must stay byte-identical to pre-feature ones.
-        if (kernel_->distLookahead())
-            w.key("widened_windows").value(kernel_->widenedWindows());
         w.key("shards").beginArray();
         for (int s = 0; s < kernel_->numShards(); ++s) {
             w.beginObject();

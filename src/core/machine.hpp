@@ -280,17 +280,6 @@ class MachineBuilder
         return *this;
     }
 
-    /**
-     * Sharded kernel: distance-aware lookahead windows (see
-     * NetParams::distLookahead). No effect on the serial kernel.
-     */
-    MachineBuilder &
-    distLookahead(bool on = true)
-    {
-        spec_.net.distLookahead = on;
-        return *this;
-    }
-
     // Simulation kernel -----------------------------------------------------
 
     /**

@@ -43,12 +43,13 @@ slotName(int s)
 } // namespace
 
 /**
- * Probe-side mirror of mem/cache.cpp's Cache::onBusTxn, with an explicit
- * value per line. The MOESI decisions are copied line for line (M/O
- * supply and demote to O on a ReadShared, E demotes to S, ReadExclusive
- * and Upgrade invalidate) so the backends see exactly the replies a real
- * cache would give — plus reply.data, which the real cache does not
- * model and the data-value invariant needs.
+ * Probe-side cache agent. Its MOESI decision is mem/moesi.hpp's
+ * snoopStep(), the one Cache::onBusTxn takes too; the mirror adds only
+ * what the real cache does not model and the data-value invariant
+ * needs: the supplied copy's value in reply.data, and the pushed word
+ * an absorbed Update installs. The hybrid threshold is armed only on
+ * the processor-cache slot, exactly like Machine (device caches never
+ * flip); ownership transfer and snarfing stay off.
  */
 struct McChecker::CacheMirror final : BusAgent
 {
@@ -60,71 +61,21 @@ struct McChecker::CacheMirror final : BusAgent
     SnoopReply
     onBusTxn(const BusTxn &txn) override
     {
-        SnoopReply reply;
         const int j = rig->blockByLocal(blockAlign(txn.addr));
         if (j < 0)
-            return reply;
+            return {};
         cni_assert(rig->blocks_[std::size_t(j)].req == node);
         Line &ln = rig->agentAt(node, slot).lines[std::size_t(j)];
-        switch (txn.kind) {
-          case TxnKind::UncachedRead:
-          case TxnKind::UncachedWrite:
-            return reply;
-          case TxnKind::ReadShared:
-            if (ln.st == St::I)
-                return reply;
-            reply.hadCopy = true;
-            if (ln.st == St::M || ln.st == St::O) {
-                reply.supplied = true;
-                reply.data = ln.val;
-                ln.st = St::O;
-            } else if (ln.st == St::E) {
-                ln.st = St::S;
-            }
-            return reply;
-          case TxnKind::ReadExclusive:
-            if (ln.st == St::I)
-                return reply;
-            reply.hadCopy = true;
-            if (ln.st == St::M || ln.st == St::O) {
-                reply.supplied = true;
-                reply.data = ln.val;
-            }
-            ln.st = St::I;
-            return reply;
-          case TxnKind::Upgrade:
-            if (ln.st == St::I)
-                return reply;
-            reply.hadCopy = true;
-            ln.st = St::I;
-            return reply;
-          case TxnKind::Update: {
-            // Mirror of the real cache's update-install path. The
-            // threshold is armed only on the processor-cache slot,
-            // exactly like Machine (device caches never flip).
-            if (ln.st == St::I)
-                return reply; // silently evicted; home drops us
-            const int thr = slot == kCacheSlot ? rig->mirrThr_ : 0;
-            if (thr > 0 && int(ln.unread) >= thr) {
-                ln.st = St::I;
-                ln.unread = 0;
-                reply.invalidatedOnUpdate = true;
-                return reply;
-            }
-            reply.hadCopy = true;
-            if (ln.st == St::M || ln.st == St::O) {
-                reply.supplied = true;
-                reply.data = ln.val; // pre-update copy, freshest there is
-            }
-            ln.st = St::S;
+        const int thr = slot == kCacheSlot ? rig->mirrThr_ : 0;
+        const SnoopStep st =
+            snoopStep(ln.st, true, txn.kind, {false, false, thr}, ln.unread);
+        SnoopReply reply = st.reply;
+        if (reply.supplied)
+            reply.data = ln.val; // pre-snoop copy, the freshest there is
+        if (txn.kind == TxnKind::Update && reply.hadCopy)
             ln.val = txn.data; // absorb the pushed word
-            if (ln.unread < 255)
-                ++ln.unread;
-            return reply;
-          }
-          case TxnKind::Writeback:
-            return reply;
-        }
+        ln.st = st.next;
+        ln.unread = st.unread;
         return reply;
     }
 
@@ -411,26 +362,18 @@ McChecker::enumerate() const
             for (int j = 0; j < cfg_.blocks; ++j) {
                 if (blocks_[std::size_t(j)].req != n)
                     continue;
-                const St st = ag.lines[std::size_t(j)].st;
-                auto add = [&](Act a) {
+                // Fixed order: it decides which of several equally short
+                // counterexamples the breadth-first re-run reports.
+                for (Act a : {kWrite, kRead, kDrop, kWriteback, kTouch}) {
+                    if (!actionEnabled(ag, slot, j, a))
+                        continue;
                     McStep s;
                     s.node = n;
                     s.slot = slot;
                     s.block = j;
                     s.act = a;
                     steps.push_back(std::move(s));
-                };
-                add(kWrite); // legal from every state
-                if (st == St::I)
-                    add(kRead);
-                if (st == St::S || st == St::E)
-                    add(kDrop);
-                if (st == St::O || st == St::M)
-                    add(kWriteback);
-                if (mirrThr_ > 0 && slot == kCacheSlot &&
-                    st == St::S &&
-                    ag.lines[std::size_t(j)].unread > 0)
-                    add(kTouch);
+                }
             }
         }
     }
@@ -449,21 +392,27 @@ McChecker::canApply(const McStep &s) const
     }
     const AgentModel &ag =
         agents_[std::size_t(s.node) * kSlots + std::size_t(s.slot)];
-    if (ag.outstanding)
-        return false;
-    const St st = ag.lines[std::size_t(s.block)].st;
-    switch (Act(s.act)) {
+    return !ag.outstanding &&
+           actionEnabled(ag, s.slot, s.block, Act(s.act));
+}
+
+bool
+McChecker::actionEnabled(const AgentModel &ag, int slot, int block,
+                         Act a) const
+{
+    const Line &ln = ag.lines[std::size_t(block)];
+    switch (a) {
       case kRead:
-        return st == St::I;
+        return !isValid(ln.st);
       case kWrite:
         return true;
       case kDrop:
-        return st == St::S || st == St::E;
+        return isValid(ln.st) && !isDirty(ln.st);
       case kWriteback:
-        return st == St::O || st == St::M;
+        return isDirty(ln.st);
       case kTouch:
-        return mirrThr_ > 0 && s.slot == kCacheSlot && st == St::S &&
-               ag.lines[std::size_t(s.block)].unread > 0;
+        return mirrThr_ > 0 && slot == kCacheSlot &&
+               ln.st == Moesi::Shared && ln.unread > 0;
     }
     return false;
 }
@@ -486,7 +435,8 @@ void
 McChecker::applyAction(const McStep &s)
 {
     AgentModel &ag = agentAt(NodeId(s.node), s.slot);
-    cni_assert(!ag.outstanding);
+    cni_assert(!ag.outstanding &&
+               actionEnabled(ag, s.slot, s.block, Act(s.act)));
     Line &ln = ag.lines[std::size_t(s.block)];
     const Addr addr = blocks_[std::size_t(s.block)].local;
 
@@ -494,33 +444,29 @@ McChecker::applyAction(const McStep &s)
     std::uint64_t wrVal = 0;
     switch (Act(s.act)) {
       case kRead:
-        cni_assert(ln.st == St::I);
         kind = TxnKind::ReadShared;
         break;
       case kWrite:
         wrVal = freshToken();
-        if (ln.st == St::E || ln.st == St::M) {
+        if (isWritable(ln.st)) {
             // Writable copy: the store hits silently (E -> M upgrade
             // without a transaction, exactly like the real cache).
-            ln.st = St::M;
+            ln.st = Moesi::Modified;
             ln.val = wrVal;
             current_[std::size_t(s.block)] = wrVal;
             return;
         }
-        kind = ln.st == St::I ? TxnKind::ReadExclusive : TxnKind::Upgrade;
+        kind = isValid(ln.st) ? TxnKind::Upgrade : TxnKind::ReadExclusive;
         break;
       case kDrop:
-        cni_assert(ln.st == St::S || ln.st == St::E);
-        ln.st = St::I;
+        ln.st = Moesi::Invalid;
         return;
       case kWriteback:
-        cni_assert(ln.st == St::O || ln.st == St::M);
         kind = TxnKind::Writeback;
         break;
       case kTouch:
         // Load hit on an updated Shared line: no transaction, just the
         // counter reset the real cache performs in load().
-        cni_assert(ln.st == St::S && ln.unread > 0);
         ln.unread = 0;
         return;
       default:
@@ -539,7 +485,7 @@ McChecker::applyAction(const McStep &s)
         // Mirror of Cache::claimBlock/refill: invalidate the frame at
         // issue time; the value rides the transaction.
         t.data = ln.val;
-        ln.st = St::I;
+        ln.st = Moesi::Invalid;
     }
     if (updateProtocol_ && Act(s.act) == kWrite) {
         // The written word rides the request so the home's Update probes
@@ -593,13 +539,7 @@ McChecker::onComplete(NodeId n, int slot, int block, int kind,
             fail(who + ": read filled a stale value (data-value "
                        "invariant)");
         }
-        // Cache::refill's fill-state selection, verbatim.
-        if (r.cacheSupplied && r.ownershipTransferred)
-            ln.st = St::O;
-        else if (r.cacheSupplied || r.sharedCopy)
-            ln.st = St::S;
-        else
-            ln.st = St::E;
+        ln.st = fillState(false, r);
         ln.val = r.data;
         ln.unread = 0;
         return;
@@ -607,7 +547,7 @@ McChecker::onComplete(NodeId n, int slot, int block, int kind,
         if (txn == TxnKind::ReadExclusive) {
             if (!valCurrentOrPending(block, r.data))
                 fail(who + ": read-to-own filled a stale value");
-        } else if (ln.st != St::I) {
+        } else if (isValid(ln.st)) {
             // Permission-only upgrade: the retained copy must still be
             // the latest committed value (or, on an update backend, a
             // pushed word from a write still in flight).
@@ -621,10 +561,7 @@ McChecker::onComplete(NodeId n, int slot, int block, int kind,
                        "without a data fill");
             return;
         }
-        // An update backend's grant says whether sharers absorbed the
-        // pushed word and stayed: install Sm (Owned) then, Modified
-        // otherwise — mirror of Cache::store.
-        ln.st = r.sharersRemain ? St::O : St::M;
+        ln.st = writeGrantState(r);
         ln.val = wrVal;
         ln.unread = 0;
         current_[std::size_t(block)] = wrVal;
@@ -647,12 +584,12 @@ McChecker::checkInvariants()
         int valid = 0;
         for (std::size_t a = 0; a < agents_.size(); ++a) {
             const Line &ln = agents_[a].lines[std::size_t(j)];
-            if (ln.st == St::I)
+            if (!isValid(ln.st))
                 continue;
             ++valid;
-            if (ln.st != St::S)
+            if (isDirty(ln.st) || isWritable(ln.st))
                 ++dirtyOrExclusive;
-            if (ln.st == St::M || ln.st == St::E)
+            if (isWritable(ln.st))
                 ++exclusive;
             if (!valCurrentOrPending(j, ln.val)) {
                 fail("block " + std::to_string(j) +
@@ -744,13 +681,13 @@ McChecker::encodeState(McEncoder &enc, const std::vector<int> &perm,
                     break;
                 const Line &ln = ag.lines[std::size_t(j)];
                 enc.u8(std::uint8_t(ln.st));
-                enc.token(ln.st == St::I ? 0 : ln.val);
+                enc.token(isValid(ln.st) ? ln.val : 0);
                 // Counter emitted only when it can influence behaviour
                 // (legacy fingerprints stay byte-identical), normalized
                 // to 0 on Invalid lines — every install resets it, so a
                 // stale value there is unobservable.
                 if (mirrThr_ > 0)
-                    enc.u8(ln.st == St::I ? 0 : ln.unread);
+                    enc.u8(isValid(ln.st) ? ln.unread : 0);
             }
             if (ag.outstanding) {
                 enc.u8(std::uint8_t(ag.actKind) + 1);

@@ -20,9 +20,10 @@
  *    excluded, values and request ids renamed, node labels permuted
  *    over every valid symmetry), so exploration terminates.
  *
- * The mirror agents replay mem/cache.cpp's exact MOESI decisions and
- * carry an explicit value token per line, which makes four invariant
- * families checkable at every stable point:
+ * The mirror agents take every MOESI decision from mem/moesi.hpp — the
+ * transition table the simulator's caches use — and carry an explicit
+ * value token per line, which makes four invariant families checkable
+ * at every stable point:
  *
  *  - SWMR: at most one M/E/O copy, and M/E exclude all other copies;
  *  - data value: every valid copy equals the last committed write, and
@@ -50,6 +51,7 @@
 #include <vector>
 
 #include "coh/domain.hpp"
+#include "mem/moesi.hpp"
 #include "net/network.hpp"
 #include "sim/choice.hpp"
 #include "sim/event_queue.hpp"
@@ -168,19 +170,9 @@ class McChecker
     static constexpr int kNiSlot = 1;
     static constexpr int kSlots = 2; //!< driven mirror agents per node
 
-    /** MOESI of one mirrored line (mirrors mem/cache.hpp's Moesi). */
-    enum class St : std::uint8_t
-    {
-        I,
-        S,
-        E,
-        O,
-        M
-    };
-
     struct Line
     {
-        St st = St::I;
+        Moesi st = Moesi::Invalid;
         std::uint64_t val = 0; //!< value token this copy holds
         /** Mirror of Cache::Line::unreadUpdates (update backends). */
         std::uint8_t unread = 0;
@@ -254,6 +246,9 @@ class McChecker
     void drainUntagged();
     std::vector<McStep> enumerate() const;
     bool canApply(const McStep &s) const;
+    /** Whether idle agent `ag` in `slot` may take `a` on `block`. */
+    bool actionEnabled(const AgentModel &ag, int slot, int block,
+                       Act a) const;
     void apply(const McStep &s);
     void applyAction(const McStep &s);
     void onComplete(NodeId n, int slot, int block, int kind,

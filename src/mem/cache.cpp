@@ -106,51 +106,17 @@ Cache::store(Addr a)
             co_return;
         }
         if (hit(ln, a)) {
-            // Shared or Owned: address-only upgrade. Under an update
-            // backend an Owned (Sm) writer lands here every store —
-            // each write is its own update round by design.
-            cStoreUpgrades_.incr();
-            SnoopResult res = co_await issueTxn(TxnKind::Upgrade, a);
-            Line &ln2 = lineFor(a);
-            if (hit(ln2, a)) {
-                // kSharersRemain grant: the update left live sharers, so
-                // the writer installs Sm (Owned), not Modified. The
-                // single upgrade round *is* the complete write.
-                ln2.state =
-                    res.sharersRemain ? Moesi::Owned : Moesi::Modified;
-                ln2.unreadUpdates = 0;
+            // Shared or Owned: address-only upgrade.
+            if (co_await upgrade(a))
                 co_return;
-            }
-            if (res.upgradeFilled) {
-                // Invalidated while the upgrade was in flight, but the
-                // home converted it to a read-to-own and the completion
-                // carried the block: install it, no retry round trip.
-                cStoreUpgradeFills_.incr();
-                ln2.tag = blockAlign(a);
-                ln2.tagValid = true;
-                ln2.state =
-                    res.sharersRemain ? Moesi::Owned : Moesi::Modified;
-                ln2.unreadUpdates = 0;
-                co_return;
-            }
             // Invalidated while arbitrating; fall through and retry.
             cStoreUpgradeRaces_.incr();
             continue;
         }
         cStoreMisses_.incr();
-        SnoopResult res = co_await refill(a, true);
-        Line &ln3 = lineFor(a);
-        if (hit(ln3, a) &&
-            (isWritable(ln3.state) ||
-             (res.sharersRemain && ln3.state == Moesi::Owned))) {
-            // Owned-after-exclusive-refill is the update-protocol success
-            // state (Sm); forcing Modified would pretend the sharers the
-            // grant told us about are gone.
-            if (!res.sharersRemain)
-                ln3.state = Moesi::Modified;
-            ln3.unreadUpdates = 0;
+        const SnoopResult res = co_await refill(a, true);
+        if (contains(a) && stateOf(a) == writeGrantState(res))
             co_return;
-        }
         // Extremely unlikely: lost the block between refill completion and
         // now (same tick). Retry.
         cStoreRefillRaces_.incr();
@@ -168,31 +134,33 @@ Cache::fetchBlock(Addr a, bool exclusive)
             ln.unreadUpdates = 0;
         co_return;
     }
-    if (exclusive && hit(ln, a)) {
-        cStoreUpgrades_.incr();
-        SnoopResult res = co_await issueTxn(TxnKind::Upgrade, a);
-        Line &ln2 = lineFor(a);
-        if (hit(ln2, a)) {
-            ln2.state = res.sharersRemain ? Moesi::Owned : Moesi::Modified;
-            ln2.unreadUpdates = 0;
-            co_return;
-        }
-        if (res.upgradeFilled) {
-            cStoreUpgradeFills_.incr();
-            ln2.tag = blockAlign(a);
-            ln2.tagValid = true;
-            ln2.state = res.sharersRemain ? Moesi::Owned : Moesi::Modified;
-            ln2.unreadUpdates = 0;
-            co_return;
-        }
+    if (exclusive && hit(ln, a) && co_await upgrade(a))
+        co_return;
+    co_await refill(a, exclusive);
+}
+
+CoTask<bool>
+Cache::upgrade(Addr a)
+{
+    // Under an update backend an Owned (Sm) writer lands here every
+    // store — each write is its own update round by design, and the
+    // single upgrade round *is* the complete write.
+    cStoreUpgrades_.incr();
+    SnoopResult res = co_await issueTxn(TxnKind::Upgrade, a);
+    Line &ln = lineFor(a);
+    if (!hit(ln, a)) {
+        if (!res.upgradeFilled)
+            co_return false; // invalidated while in flight, no data
+        // Invalidated while the upgrade was in flight, but the home
+        // converted it to a read-to-own and the completion carried the
+        // block: install it, no retry round trip.
+        cStoreUpgradeFills_.incr();
+        ln.tag = blockAlign(a);
+        ln.tagValid = true;
     }
-    SnoopResult res = co_await refill(a, exclusive);
-    if (exclusive && !res.sharersRemain) {
-        // (With sharers remaining the refill already installed Owned/Sm.)
-        Line &ln3 = lineFor(a);
-        if (hit(ln3, a))
-            ln3.state = Moesi::Modified;
-    }
+    ln.state = writeGrantState(res);
+    ln.unreadUpdates = 0;
+    co_return true;
 }
 
 CoTask<SnoopResult>
@@ -213,17 +181,7 @@ Cache::refill(Addr a, bool exclusive)
     ln2.tag = blockAlign(a);
     ln2.tagValid = true;
     ln2.unreadUpdates = 0;
-    if (exclusive) {
-        // Update backends keep the sharers alive: the grant says so and
-        // the writer installs Sm (Owned) instead of Modified.
-        ln2.state = res.sharersRemain ? Moesi::Owned : Moesi::Modified;
-    } else if (res.cacheSupplied && res.ownershipTransferred) {
-        ln2.state = Moesi::Owned;
-    } else if (res.cacheSupplied || res.sharedCopy) {
-        ln2.state = Moesi::Shared;
-    } else {
-        ln2.state = Moesi::Exclusive;
-    }
+    ln2.state = fillState(exclusive, res);
     co_return res;
 }
 
@@ -258,7 +216,7 @@ Cache::claimBlock(Addr a, bool deferWriteback)
     Line &ln2 = lineFor(a);
     ln2.tag = blockAlign(a);
     ln2.tagValid = true;
-    ln2.state = res.sharersRemain ? Moesi::Owned : Moesi::Modified;
+    ln2.state = writeGrantState(res);
     ln2.unreadUpdates = 0;
 }
 
@@ -277,125 +235,24 @@ Cache::flushBlock(Addr a)
     }
 }
 
-void
-Cache::invalidateBlock(Addr a)
-{
-    Line &ln = lineFor(a);
-    if (ln.tagValid && ln.tag == blockAlign(a))
-        ln.state = Moesi::Invalid;
-}
-
 SnoopReply
 Cache::onBusTxn(const BusTxn &txn)
 {
-    SnoopReply reply;
     const Addr blk = blockAlign(txn.addr);
-
-    switch (txn.kind) {
-      case TxnKind::UncachedRead:
-      case TxnKind::UncachedWrite:
-        return reply; // register space: not ours
-
-      case TxnKind::ReadShared: {
-        Line &ln = lineFor(blk);
-        if (!hit(ln, blk))
-            return reply;
-        reply.hadCopy = true;
-        switch (ln.state) {
-          case Moesi::Modified:
-          case Moesi::Owned:
-            reply.supplied = true;
-            cSnoopSupplies_.incr();
-            if (transferOwnership_) {
-                reply.transferOwnership = true;
-                ln.state = Moesi::Shared;
-            } else {
-                ln.state = Moesi::Owned;
-            }
-            break;
-          case Moesi::Exclusive:
-            ln.state = Moesi::Shared;
-            break;
-          case Moesi::Shared:
-            break;
-          case Moesi::Invalid:
-            break;
-        }
-        return reply;
-      }
-
-      case TxnKind::ReadExclusive: {
-        Line &ln = lineFor(blk);
-        if (!hit(ln, blk))
-            return reply;
-        reply.hadCopy = true;
-        if (isDirty(ln.state)) {
-            reply.supplied = true;
-            cSnoopSupplies_.incr();
-        }
-        ln.state = Moesi::Invalid;
+    Line &ln = lineFor(blk);
+    const SnoopStep st =
+        snoopStep(ln.state, ln.tagValid && ln.tag == blk, txn.kind,
+                  {transferOwnership_, snarfing_, updateThreshold_},
+                  ln.unreadUpdates);
+    ln.state = st.next;
+    ln.unreadUpdates = st.unread;
+    if (st.reply.supplied)
+        cSnoopSupplies_.incr();
+    if (st.invalidated)
         cSnoopInvalidations_.incr();
-        return reply;
-      }
-
-      case TxnKind::Upgrade: {
-        Line &ln = lineFor(blk);
-        if (!hit(ln, blk))
-            return reply;
-        // Requester holds a valid copy already; no data moves.
-        reply.hadCopy = true;
-        ln.state = Moesi::Invalid;
-        cSnoopInvalidations_.incr();
-        return reply;
-      }
-
-      case TxnKind::Update: {
-        // Dragon/hybrid word update pushed by the home on behalf of a
-        // writer. Invalidation backends never send these.
-        Line &ln = lineFor(blk);
-        if (!hit(ln, blk))
-            return reply; // silently evicted: the home drops us
-        if (updateThreshold_ > 0 && ln.unreadUpdates >= updateThreshold_) {
-            // Hybrid flip: `updateThreshold_` consecutive updates went
-            // unread, so stop absorbing — drop the copy and let the
-            // writer take plain ownership. hadCopy stays false so the
-            // home removes us from the sharer set.
-            ln.state = Moesi::Invalid;
-            ln.unreadUpdates = 0;
-            reply.invalidatedOnUpdate = true;
-            cSnoopInvalidations_.incr();
-            return reply;
-        }
-        reply.hadCopy = true;
-        if (isDirty(ln.state)) {
-            // Sm/M holder: its pre-update block is the freshest copy, so
-            // the ack supplies it (a write-missing requester's grant then
-            // carries real data). The update demotes it to Sc.
-            reply.supplied = true;
-            cSnoopSupplies_.incr();
-        }
-        ln.state = Moesi::Shared; // Sc, value refreshed in place
-        if (ln.unreadUpdates < 255)
-            ++ln.unreadUpdates;
-        return reply;
-      }
-
-      case TxnKind::Writeback: {
-        Line &ln = lineFor(blk);
-        if (snarfing_ && ln.tagValid && ln.tag == blk &&
-            ln.state == Moesi::Invalid) {
-            // Data snarfing: the frame is already allocated to this block
-            // (tag match, invalid); grab the data off the bus.
-            ln.state = Moesi::Shared;
-            cSnarfs_.incr();
-            SnoopReply r;
-            r.hadCopy = true; // a copy now exists
-            return r;
-        }
-        return reply;
-      }
-    }
-    return reply;
+    if (st.snarfed)
+        cSnarfs_.incr();
+    return st.reply;
 }
 
 } // namespace cni

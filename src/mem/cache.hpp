@@ -102,9 +102,6 @@ class Cache : public BusAgent
      */
     CoTask<void> claimBlock(Addr a, bool deferWriteback = false);
 
-    /** Drop a block without writeback (user-level invalidate). */
-    void invalidateBlock(Addr a);
-
     /**
      * Install a line in a given state without bus traffic — reset-time
      * initialization (a device owns its home storage at power-on).
@@ -162,6 +159,14 @@ class Cache : public BusAgent
     bool hit(const Line &ln, Addr a) const;
 
     CoTask<SnoopResult> refill(Addr a, bool exclusive);
+
+    /**
+     * Address-only upgrade of a Shared/Owned copy to the write-grant
+     * state. False when the copy was invalidated in flight and the
+     * completion carried no data: the caller retries or refills.
+     */
+    CoTask<bool> upgrade(Addr a);
+
     ValueCompletion<SnoopResult> issueTxn(TxnKind kind, Addr a);
 
     EventQueue &eq_;

@@ -29,9 +29,6 @@
  *   --threads N       sharded simulation kernel with N host threads
  *                     (omit for the classic serial kernel; any N >= 1
  *                     is bit-identical to --threads 1)
- *   --dist-lookahead  sharded kernel: widen synchronization windows from
- *                     per-pair routing distance (mesh/torus); fewer
- *                     barriers when only far-apart nodes are active
  *   --seed S          workload-synthesis seed
  *   --json PATH       run-report output; "-" = stdout, "none" = off
  *                     (default: <binary>.report.json)
@@ -88,7 +85,6 @@ struct Options
     std::optional<Tick> netRetry;
     std::optional<std::pair<int, int>> meshDims;
     std::optional<int> threads;
-    std::optional<bool> distLookahead;
     std::optional<std::uint64_t> seed;
     std::string json; //!< report path; "-" stdout, "none" disabled
     std::vector<std::string> positional;
@@ -142,8 +138,6 @@ struct Options
             b.meshDims(meshDims->first, meshDims->second);
         if (threads)
             b.threads(*threads);
-        if (distLookahead)
-            b.distLookahead(*distLookahead);
         return b;
     }
 
@@ -191,8 +185,7 @@ parse(int argc, char **argv, const char *extraUsage = nullptr)
             "       [--dir-entries N] [--dir-assoc N] [--dir-hops 3|4]\n"
             "       [--hybrid-threshold N] [--net-latency N]\n"
             "       [--link-bw N] [--window N] [--net-retry N]\n"
-            "       [--mesh-dims XxY] [--threads N] [--dist-lookahead]\n"
-            "       [--seed S]\n"
+            "       [--mesh-dims XxY] [--threads N] [--seed S]\n"
             "       [--json PATH|-|none] %s\n"
             "       (--ni list, --net list, --coherence list print the\n"
             "        registered names and exit)\n",
@@ -325,8 +318,6 @@ parse(int argc, char **argv, const char *extraUsage = nullptr)
             }
             o.threads = static_cast<int>(n);
             ++i;
-        } else if (a == "--dist-lookahead") {
-            o.distLookahead = true;
         } else if (a == "--seed") {
             o.seed = std::strtoull(need(i), nullptr, 10);
             ++i;

@@ -71,9 +71,6 @@ cliNetParams(const cli::Options &o)
                       std::to_string(o.meshDims->second));
     if (o.threads)
         bindParam(&p, "threads", std::to_string(*o.threads));
-    if (o.distLookahead)
-        bindParam(&p, "dist-lookahead",
-                  *o.distLookahead ? "true" : "false");
     return p;
 }
 

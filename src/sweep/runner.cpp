@@ -369,11 +369,6 @@ applyMachineParams(const ParamList &params, MachineBuilder *b,
                 !parseInt(value.substr(x + 1), 1, 1 << 16, &my))
                 return failParam(name, value, "XxY (e.g. 4x4)", why);
             b->meshDims(int(mx), int(my));
-        } else if (name == "dist-lookahead") {
-            bool on = false;
-            if (!parseBool(value, &on))
-                return failParam(name, value, "true or false", why);
-            b->distLookahead(on);
         } else {
             workloadParams->emplace_back(name, value);
         }

@@ -33,45 +33,52 @@ base(const std::string &backend)
 
 TEST(Cnimc, ExhaustsEveryBackendCleanTwoNodesOneBlock)
 {
+    // Exact state-space sizes pin the exploration itself: a change to
+    // the shared MOESI table (mem/moesi.hpp), the mirror agents or the
+    // fingerprint that alters what cnimc explores moves these counts.
     struct Case
     {
         const char *name;
         McConfig cfg;
+        std::size_t visited;
+        std::size_t transitions;
+        std::size_t terminals;
+        std::size_t maxPark;
     };
     std::vector<Case> cases;
-    cases.push_back({"snoop", base("snoop")});
-    cases.push_back({"dir-full-4hop", base("directory")});
+    cases.push_back({"snoop", base("snoop"), 24, 96, 24, 0});
+    cases.push_back({"dir-full-4hop", base("directory"), 1288, 2224, 34, 1});
     {
         McConfig c = base("directory");
         c.dir.hops = 3;
-        cases.push_back({"dir-full-3hop", c});
+        cases.push_back({"dir-full-3hop", c, 2194, 4082, 34, 1});
     }
     {
         McConfig c = base("directory");
         c.dir.entries = 2;
         c.dir.assoc = 2;
-        cases.push_back({"dir-sparse2-4hop", c});
+        cases.push_back({"dir-sparse2-4hop", c, 1288, 2224, 34, 1});
     }
     {
         McConfig c = base("directory");
         c.dir.entries = 2;
         c.dir.assoc = 2;
         c.dir.hops = 3;
-        cases.push_back({"dir-sparse2-3hop", c});
+        cases.push_back({"dir-sparse2-3hop", c, 2194, 4082, 34, 1});
     }
-    cases.push_back({"dragon-full-4hop", base("dragon")});
+    cases.push_back({"dragon-full-4hop", base("dragon"), 1324, 2336, 34, 1});
     {
         // Threshold 1 maximizes flip churn: every absorbed update is
         // already one-from-saturation, so the kTouch/self-invalidate
         // interleavings all appear within the 1-block space.
         McConfig c = base("hybrid");
         c.dir.updThreshold = 1;
-        cases.push_back({"hybrid-thr1", c});
+        cases.push_back({"hybrid-thr1", c, 48721, 91022, 1314, 1});
     }
     {
         McConfig c = base("hybrid");
         c.dir.updThreshold = 2;
-        cases.push_back({"hybrid-thr2", c});
+        cases.push_back({"hybrid-thr2", c, 48891, 91362, 1319, 1});
     }
 
     for (const Case &tc : cases) {
@@ -80,8 +87,10 @@ TEST(Cnimc, ExhaustsEveryBackendCleanTwoNodesOneBlock)
         EXPECT_TRUE(res.clean())
             << tc.name << ": " << res.violations.front();
         EXPECT_FALSE(res.truncated) << tc.name;
-        EXPECT_GT(res.visited, 0u) << tc.name;
-        EXPECT_GT(res.terminals, 0u) << tc.name;
+        EXPECT_EQ(res.visited, tc.visited) << tc.name;
+        EXPECT_EQ(res.transitions, tc.transitions) << tc.name;
+        EXPECT_EQ(res.terminals, tc.terminals) << tc.name;
+        EXPECT_EQ(res.maxParkSeen, tc.maxPark) << tc.name;
     }
 }
 

@@ -331,6 +331,13 @@ TEST(SweepRunner, ValidatePointRejectsStructuredly)
     EXPECT_FALSE(validatePoint(badParam, &why));
     EXPECT_NE(why.find("frobnicate"), std::string::npos);
 
+    // A machine param the runner no longer knows is just another
+    // unknown name.
+    SweepPoint removed = p;
+    removed.params.emplace_back("dist-lookahead", "true");
+    EXPECT_FALSE(validatePoint(removed, &why));
+    EXPECT_NE(why.find("dist-lookahead"), std::string::npos);
+
     // One node cannot round-trip with itself.
     SweepPoint tooSmall = p;
     tooSmall.params = {{"nodes", "1"}, {"ni", "NI2w"}};
