@@ -99,10 +99,10 @@ main(int argc, char **argv)
     setVerbose(false);
     const cli::Options opts =
         cli::parse(argc, argv, "(--ni picks the ablated CNIiQ model)");
-    if (opts.ni)
-        g_model = *opts.ni;
-    if (opts.nodes)
-        g_nodes = *opts.nodes;
+    const MachineSpec flags =
+        opts.spec(Machine::describe().nodes(g_nodes).ni(g_model));
+    g_model = flags.defaults.ni;
+    g_nodes = flags.numNodes;
     std::printf("Cachable-queue optimization ablation (%s, memory "
                 "bus, 64B messages; traffic columns from a 50-message "
                 "stream)\n\n",

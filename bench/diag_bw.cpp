@@ -44,9 +44,11 @@ main(int argc, char **argv)
         {"CNI16Q", NiPlacement::IoBus},
         {"CNI512Q", NiPlacement::IoBus},
     };
+    // --ni restricts the sweep to one model ("" = every model).
+    const std::string only =
+        opts.spec(Machine::describe().ni("")).defaults.ni;
     for (const auto &c : cases) {
-        // --ni restricts the sweep to one model.
-        if (opts.ni && *opts.ni != c.ni)
+        if (!only.empty() && only != c.ni)
             continue;
         const MachineSpec spec =
             Machine::describe().nodes(2).ni(c.ni).placement(c.p).spec();

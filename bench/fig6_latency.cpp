@@ -33,7 +33,6 @@
 #include "sim/cli.hpp"
 #include "sim/logging.hpp"
 #include "sim/report.hpp"
-#include "sweep/from_cli.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
 
@@ -146,7 +145,7 @@ main(int argc, char **argv)
     sweep::SweepSpec spec;
     spec.workload = "roundtrip";
     spec.base = {{"nodes", "2"}};
-    for (const auto &[k, v] : sweep::cliNetParams(opts))
+    for (const auto &[k, v] : opts.netParams())
         sweep::bindParam(&spec.base, k, v);
     spec.axes = {{"placement", {"memory", "io", "cache"}},
                  {"ni", kModels},

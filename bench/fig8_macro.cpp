@@ -33,13 +33,13 @@ struct Cell
 using Row = std::map<std::string, Cell>; // config label -> result
 
 cli::Options g_opts;
+int g_nodes = 0; //!< --nodes, else the builder's default
 
 Cell
 run(const std::string &app, const std::string &ni, NiPlacement p)
 {
-    MachineBuilder b = Machine::describe().ni(ni).placement(p);
-    if (g_opts.nodes)
-        b.nodes(*g_opts.nodes);
+    MachineBuilder b =
+        Machine::describe().nodes(g_nodes).ni(ni).placement(p);
     // Shared net/coherence/kernel flags apply to every cell of the
     // sweep; combinations the selected flags cannot build (e.g. I/O-bus
     // placements under --coherence directory) report zeros.
@@ -60,15 +60,15 @@ main(int argc, char **argv)
                         "(fixed NI/placement sweep: --nodes, --seed, "
                         "--json and the shared net/coherence/kernel "
                         "flags are honored)");
+    g_nodes = g_opts.spec(Machine::describe()).numNodes;
     // Whole-sweep gate (as in fig6/fig7): the NI2w/mem baseline every
     // ratio divides by must be buildable, else fatal with the
     // builder's message instead of a table of zeros and NaNs.
     {
-        MachineBuilder probe =
-            Machine::describe().ni("NI2w").placement(
-                NiPlacement::MemoryBus);
-        if (g_opts.nodes)
-            probe.nodes(*g_opts.nodes);
+        MachineBuilder probe = Machine::describe()
+                                   .nodes(g_nodes)
+                                   .ni("NI2w")
+                                   .placement(NiPlacement::MemoryBus);
         g_opts.applyNet(probe);
         std::string why;
         if (!probe.valid(&why))

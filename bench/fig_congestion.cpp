@@ -104,13 +104,16 @@ main(int argc, char **argv)
     const cli::Options opts = cli::parse(
         argc, argv, "(hotspot sweep; --net picks a single model)");
 
-    const int nodes = opts.nodes ? *opts.nodes : 16;
+    // An empty model means "no --net": sweep all four fabrics.
+    const MachineSpec flags =
+        opts.spec(Machine::describe().nodes(16).net(""));
+    const int nodes = flags.numNodes;
     const int msgsPerSender = 8;
     const std::size_t msgBytes = 244; // one full network message
 
     std::vector<std::string> models;
-    if (opts.net)
-        models = {*opts.net};
+    if (!flags.net.topology.empty())
+        models = {flags.net.topology};
     else
         models = {"ideal", "xbar", "mesh", "torus"};
 

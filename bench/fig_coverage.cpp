@@ -44,7 +44,6 @@
 #include "sim/cli.hpp"
 #include "sim/logging.hpp"
 #include "sim/report.hpp"
-#include "sweep/from_cli.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
 
@@ -113,8 +112,10 @@ main(int argc, char **argv)
         "[--spec PATH] [--points PATH]\n"
         "       (directory coverage x sharing sweep, 3-hop vs 4-hop)");
 
-    const int nodes = opts.nodes ? *opts.nodes : 4;
-    const int assoc = opts.dirAssoc ? *opts.dirAssoc : 4;
+    const MachineSpec flags =
+        opts.spec(Machine::describe().nodes(4).dirAssoc(4));
+    const int nodes = flags.numNodes;
+    const int assoc = flags.dir.assoc;
     const std::vector<double> coverages = {1.0, 0.5, 0.25};
     const std::vector<int> sharings = {1, 3};
 
@@ -126,7 +127,7 @@ main(int argc, char **argv)
     spec.base = {{"ni", "CNI16Qm"},
                  {"net", "mesh"},
                  {"coherence", "directory"}};
-    for (const auto &[k, v] : sweep::cliNetParams(opts))
+    for (const auto &[k, v] : opts.netParams())
         sweep::bindParam(&spec.base, k, v);
     sweep::bindParam(&spec.base, "nodes", std::to_string(nodes));
     sweep::bindParam(&spec.base, "dir-assoc", std::to_string(assoc));

@@ -212,16 +212,19 @@ main(int argc, char **argv)
         "(protocol sweep; --coherence picks a single backend)");
 
     // Flip on the second unread update: migratory phases waste exactly
-    // one pushed word before the idle sharer drops off.
-    const int threshold = opts.hybridThreshold ? *opts.hybridThreshold : 1;
+    // one pushed word before the idle sharer drops off. An empty
+    // backend means "no --coherence": sweep them all.
+    const MachineSpec flags =
+        opts.spec(Machine::describe().coherence("").hybridThreshold(1));
+    const int threshold = flags.dir.updThreshold;
     const int pcIters = 256;
     const int migPhases = 16;
     const int migWrites = 1024;
     const Tick migCompute = 2;
 
     std::vector<std::string> backends;
-    if (opts.coherence)
-        backends = {*opts.coherence};
+    if (!flags.coherence.empty())
+        backends = {flags.coherence};
     else
         backends = {"directory", "dragon", "hybrid"};
 

@@ -1,5 +1,7 @@
 #include "core/machine.hpp"
 
+#include <cerrno>
+#include <cstdlib>
 #include <set>
 
 #include "bus/fabric.hpp"
@@ -277,19 +279,176 @@ MachineSpec::valid(std::string *why) const
     return true;
 }
 
-MachineBuilder &
-MachineBuilder::placement(const std::string &name)
+bool
+parseIntIn(const std::string &text, long long lo, long long hi,
+           long long *out)
 {
-    if (name == "memory" || name == "memory-bus" || name == "mem")
-        spec_.placement = NiPlacement::MemoryBus;
-    else if (name == "io" || name == "io-bus")
-        spec_.placement = NiPlacement::IoBus;
-    else if (name == "cache" || name == "cache-bus")
-        spec_.placement = NiPlacement::CacheBus;
+    if (text.empty())
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const long long v = std::strtoll(text.c_str(), &end, 10);
+    if (errno == ERANGE || end == text.c_str() || *end != '\0')
+        return false;
+    if (v < lo || v > hi)
+        return false;
+    *out = v;
+    return true;
+}
+
+namespace
+{
+
+/**
+ * One row of the machine-parameter table: an integer knob (range +
+ * setter) or a textual one (a setter that parses and may refuse).
+ * `want` is how the error message spells a well-formed value.
+ */
+struct MachineParam
+{
+    const char *name;
+    const char *want;
+    long long lo = 0;
+    long long hi = 0;
+    void (*setInt)(MachineBuilder &, long long) = nullptr;
+    bool (*setText)(MachineBuilder &, const std::string &) = nullptr;
+};
+
+bool
+setPlacement(MachineBuilder &b, const std::string &v)
+{
+    if (v == "memory" || v == "memory-bus" || v == "mem")
+        b.placement(NiPlacement::MemoryBus);
+    else if (v == "io" || v == "io-bus")
+        b.placement(NiPlacement::IoBus);
+    else if (v == "cache" || v == "cache-bus")
+        b.placement(NiPlacement::CacheBus);
     else
-        cni_fatal("unknown NI placement '%s' (try memory, io, cache)",
-                  name.c_str());
-    return *this;
+        return false;
+    return true;
+}
+
+bool
+setSnarf(MachineBuilder &b, const std::string &v)
+{
+    if (v != "true" && v != "1" && v != "false" && v != "0")
+        return false;
+    b.snarfing(v == "true" || v == "1");
+    return true;
+}
+
+bool
+setMeshDims(MachineBuilder &b, const std::string &v)
+{
+    const std::size_t x = v.find('x');
+    long long mx = 0, my = 0;
+    if (x == std::string::npos ||
+        !parseIntIn(v.substr(0, x), 1, 1 << 16, &mx) ||
+        !parseIntIn(v.substr(x + 1), 1, 1 << 16, &my))
+        return false;
+    b.meshDims(int(mx), int(my));
+    return true;
+}
+
+// The ranges are parse-time sanity bounds; MachineSpec::valid() still
+// judges the combination (and the kMax* ceilings).
+const MachineParam kMachineParams[] = {
+    {.name = "ni", .want = "an NI model name",
+     .setText = [](MachineBuilder &b, const std::string &v) {
+         b.ni(v);
+         return true;
+     }},
+    {.name = "nodes", .want = "an integer in [1, 65536]", .lo = 1,
+     .hi = 1 << 16,
+     .setInt = [](MachineBuilder &b, long long n) { b.nodes(int(n)); }},
+    {.name = "contexts", .want = "an integer in [1, 4096]", .lo = 1,
+     .hi = 4096,
+     .setInt = [](MachineBuilder &b, long long n) { b.contexts(int(n)); }},
+    {.name = "placement", .want = "memory, io, or cache",
+     .setText = setPlacement},
+    {.name = "snarf", .want = "true or false", .setText = setSnarf},
+    {.name = "net", .want = "an interconnect name",
+     .setText = [](MachineBuilder &b, const std::string &v) {
+         b.net(v);
+         return true;
+     }},
+    {.name = "coherence", .want = "a coherence backend name",
+     .setText = [](MachineBuilder &b, const std::string &v) {
+         b.coherence(v);
+         return true;
+     }},
+    {.name = "dir-entries", .want = "an integer in [0, 16777216]",
+     .lo = 0, .hi = 1 << 24,
+     .setInt = [](MachineBuilder &b, long long n) { b.dirEntries(int(n)); }},
+    {.name = "dir-assoc", .want = "an integer in [1, 16777216]", .lo = 1,
+     .hi = 1 << 24,
+     .setInt = [](MachineBuilder &b, long long n) { b.dirAssoc(int(n)); }},
+    {.name = "dir-hops", .want = "3 or 4", .lo = 3, .hi = 4,
+     .setInt = [](MachineBuilder &b, long long n) { b.dirHops(int(n)); }},
+    // The per-line unread-update counter saturates at 255.
+    {.name = "hybrid-threshold", .want = "an integer in [1, 255]", .lo = 1,
+     .hi = 255,
+     .setInt =
+         [](MachineBuilder &b, long long n) { b.hybridThreshold(int(n)); }},
+    {.name = "net-latency", .want = "an integer in [1, 2^32]", .lo = 1,
+     .hi = 1ll << 32,
+     .setInt = [](MachineBuilder &b, long long n) { b.netLatency(Tick(n)); }},
+    {.name = "link-bw", .want = "an integer in [1, 1048576]", .lo = 1,
+     .hi = 1 << 20,
+     .setInt =
+         [](MachineBuilder &b, long long n) {
+             b.linkBandwidth(std::size_t(n));
+         }},
+    {.name = "window", .want = "an integer in [1, 1048576]", .lo = 1,
+     .hi = 1 << 20,
+     .setInt = [](MachineBuilder &b, long long n) { b.window(int(n)); }},
+    {.name = "net-retry", .want = "an integer in [1, 2^32]", .lo = 1,
+     .hi = 1ll << 32,
+     .setInt = [](MachineBuilder &b, long long n) { b.netRetry(Tick(n)); }},
+    {.name = "mesh-dims", .want = "XxY (e.g. 4x4)", .setText = setMeshDims},
+    // 0 = the classic serial kernel; >= 1 = sharded with N host threads.
+    {.name = "threads", .want = "an integer in [0, 4096]", .lo = 0,
+     .hi = 4096,
+     .setInt = [](MachineBuilder &b, long long n) { b.threads(int(n)); }},
+};
+
+const MachineParam *
+findParam(const std::string &name)
+{
+    for (const MachineParam &p : kMachineParams) {
+        if (name == p.name)
+            return &p;
+    }
+    return nullptr;
+}
+
+} // namespace
+
+bool
+MachineBuilder::hasParam(const std::string &name)
+{
+    return findParam(name) != nullptr;
+}
+
+bool
+MachineBuilder::set(const std::string &name, const std::string &value,
+                    std::string *why)
+{
+    const MachineParam *p = findParam(name);
+    if (!p) {
+        if (why)
+            *why = "unknown machine parameter '" + name + "'";
+        return false;
+    }
+    long long n = 0;
+    const bool ok = p->setInt ? parseIntIn(value, p->lo, p->hi, &n)
+                              : p->setText(*this, value);
+    if (ok && p->setInt)
+        p->setInt(*this, n);
+    if (!ok && why)
+        *why = "parameter '" + name + "': got '" + value + "', want " +
+               p->want;
+    return ok;
 }
 
 Machine

@@ -163,8 +163,6 @@ class MachineBuilder
         return *this;
     }
 
-    /** Placement by name: "memory"/"memory-bus", "io", "cache". */
-    MachineBuilder &placement(const std::string &name);
 
     // Coherence -------------------------------------------------------------
 
@@ -340,6 +338,31 @@ class MachineBuilder
         return *this;
     }
 
+    // Parameters by name ----------------------------------------------------
+
+    /**
+     * Is `name` a machine parameter? The names are the shared CLI's
+     * flags without the leading dashes: nodes, ni, contexts,
+     * placement, snarf, net, coherence, dir-entries, dir-assoc,
+     * dir-hops, hybrid-threshold, net-latency, link-bw, window,
+     * net-retry, mesh-dims, threads.
+     */
+    static bool hasParam(const std::string &name);
+
+    /**
+     * Set parameter `name` from its string spelling: the one parse of
+     * the machine-parameter vocabulary, shared by the bench CLI, the
+     * sweep runner and cnimc. Integers must be whole decimal strings
+     * inside the parameter's range; placement is memory|io|cache (or
+     * memory-bus/mem, io-bus, cache-bus); snarf is true|false|1|0;
+     * mesh-dims is XxY. Model and backend names are taken as given
+     * (valid() checks them against the registries). On an unknown
+     * name or a malformed value the builder is unchanged and `why`
+     * names the parameter and the spelling it wants.
+     */
+    bool set(const std::string &name, const std::string &value,
+             std::string *why = nullptr);
+
     // Terminal operations ---------------------------------------------------
 
     bool
@@ -356,6 +379,14 @@ class MachineBuilder
   private:
     MachineSpec spec_;
 };
+
+/**
+ * Strict decimal parse of `text` into [lo, hi]: empty text, trailing
+ * characters and out-of-range values fail. MachineBuilder::set() and
+ * the sweep runner's workload parameters both use it.
+ */
+bool parseIntIn(const std::string &text, long long lo, long long hi,
+                long long *out);
 
 class Machine
 {

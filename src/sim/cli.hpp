@@ -1,38 +1,16 @@
 /**
  * @file
  * Shared command-line parsing for bench/ and examples/ binaries, so
- * configuration sweeps never require recompilation:
+ * configuration sweeps never require recompilation.
  *
- *   --ni MODEL        NI model name (NiRegistry; e.g. CNI16Qm)
- *   --nodes N         machine size
- *   --contexts N      user processes per node (CNIiQ family)
- *   --placement P     memory | io | cache
- *   --snarf           enable writeback snarfing (CNI16Qm)
- *   --net MODEL       interconnect (NetRegistry): ideal|mesh|torus|xbar
- *   --coherence B     coherence backend (CoherenceRegistry):
- *                     snoop (default) | directory | dragon | hybrid
- *   --dir-entries N   sparse directory: per-home entry cap (0 = exact
- *                     full map, the default)
- *   --dir-assoc N     sparse directory set associativity (default 4)
- *   --dir-hops N      remote-miss data path: 4 = home-centric (default),
- *                     3 = the owner forwards data straight to the
- *                     requester and acks the home in parallel
- *   --hybrid-threshold N
- *                     adaptive update backend ("hybrid"): a sharer
- *                     self-invalidates after N consecutive unread
- *                     updates (default 4)
- *   --net-latency N   fabric latency in cycles (ideal/xbar transit)
- *   --link-bw N       link/port bandwidth in bytes per cycle (mesh/xbar)
- *   --window N        sliding-window depth per destination
- *   --net-retry N     congested-receiver retry interval in cycles
- *   --mesh-dims XxY   mesh/torus grid (default: near-square)
- *   --threads N       sharded simulation kernel with N host threads
- *                     (omit for the classic serial kernel; any N >= 1
- *                     is bit-identical to --threads 1)
- *   --seed S          workload-synthesis seed
- *   --json PATH       run-report output; "-" = stdout, "none" = off
- *                     (default: <binary>.report.json)
- *   --help            usage
+ * Machine flags are `--<name> <value>` for every machine-parameter
+ * name MachineBuilder::set() knows (nodes, ni, placement, net,
+ * coherence, dir-*, threads, ...; see its table in core/machine.cpp
+ * for the names and ranges); the bare `--snarf` means snarf=true.
+ * Besides those: `--seed S` (workload-synthesis seed), `--json
+ * PATH|-|none` (run-report output; default <binary>.report.json) and
+ * `--help`. A malformed value is rejected here with the table's
+ * message, which names the parameter.
  *
  * Passing the literal name "list" to --ni, --net, or --coherence
  * prints that registry's entries and exits 0, so users can discover
@@ -61,6 +39,7 @@
 #include "ni/registry.hpp"
 #include "sim/logging.hpp"
 #include "sim/report.hpp"
+#include "sweep/spec.hpp"
 
 namespace cni::cli
 {
@@ -68,77 +47,47 @@ namespace cni::cli
 struct Options
 {
     std::string prog; //!< basename of argv[0]
-    std::optional<std::string> ni;
-    std::optional<int> nodes;
-    std::optional<int> contexts;
-    std::optional<std::string> placement;
-    std::optional<bool> snarf;
-    std::optional<std::string> net;
-    std::optional<std::string> coherence;
-    std::optional<int> dirEntries;
-    std::optional<int> dirAssoc;
-    std::optional<int> dirHops;
-    std::optional<int> hybridThreshold;
-    std::optional<Tick> netLatency;
-    std::optional<std::size_t> linkBw;
-    std::optional<int> window;
-    std::optional<Tick> netRetry;
-    std::optional<std::pair<int, int>> meshDims;
-    std::optional<int> threads;
     std::optional<std::uint64_t> seed;
     std::string json; //!< report path; "-" stdout, "none" disabled
     std::vector<std::string> positional;
+    /** The machine flags as given, in order; a repeat wins on replay. */
+    sweep::ParamList machine;
 
-    /** Overlay the explicitly-given flags onto a machine description. */
+    /** Overlay the given machine flags onto a machine description. */
     MachineBuilder &
     apply(MachineBuilder &b) const
     {
-        if (nodes)
-            b.nodes(*nodes);
-        if (ni)
-            b.ni(*ni);
-        if (placement)
-            b.placement(*placement);
-        if (contexts)
-            b.contexts(*contexts);
-        if (snarf)
-            b.snarfing(*snarf);
-        return applyNet(b);
+        return replay(b, true);
     }
 
     /**
-     * Overlay only the interconnect + kernel flags. Benches with a
-     * fixed NI/placement sweep use this so --net/--window/--threads/...
-     * still work.
+     * Overlay all but the node-level flags (nodes, ni, placement,
+     * contexts, snarf). Benches with a fixed NI/placement sweep use
+     * this so --net/--window/--threads/... still work.
      */
     MachineBuilder &
     applyNet(MachineBuilder &b) const
     {
-        if (net)
-            b.net(*net);
-        if (coherence)
-            b.coherence(*coherence);
-        if (dirEntries)
-            b.dirEntries(*dirEntries);
-        if (dirAssoc)
-            b.dirAssoc(*dirAssoc);
-        if (dirHops)
-            b.dirHops(*dirHops);
-        if (hybridThreshold)
-            b.hybridThreshold(*hybridThreshold);
-        if (netLatency)
-            b.netLatency(*netLatency);
-        if (linkBw)
-            b.linkBandwidth(*linkBw);
-        if (window)
-            b.window(*window);
-        if (netRetry)
-            b.netRetry(*netRetry);
-        if (meshDims)
-            b.meshDims(meshDims->first, meshDims->second);
-        if (threads)
-            b.threads(*threads);
-        return b;
+        return replay(b, false);
+    }
+
+    /** The bench's defaults in `b`, overlaid with every given flag. */
+    MachineSpec
+    spec(MachineBuilder b) const
+    {
+        return apply(b).spec();
+    }
+
+    /** The applyNet() subset as sweep parameters, one binding each. */
+    sweep::ParamList
+    netParams() const
+    {
+        sweep::ParamList p;
+        for (const auto &[name, value] : machine) {
+            if (!nodeLevel(name))
+                sweep::bindParam(&p, name, value);
+        }
+        return p;
     }
 
     std::uint64_t
@@ -165,6 +114,28 @@ struct Options
             return;
         }
         out << doc << "\n";
+    }
+
+  private:
+    /** The flags applyNet() leaves to the bench. */
+    static bool
+    nodeLevel(const std::string &name)
+    {
+        return name == "nodes" || name == "ni" || name == "placement" ||
+               name == "contexts" || name == "snarf";
+    }
+
+    MachineBuilder &
+    replay(MachineBuilder &b, bool nodeFlags) const
+    {
+        for (const auto &[name, value] : machine) {
+            if (nodeFlags || !nodeLevel(name)) {
+                // parse() accepted every value; set() cannot refuse it.
+                const bool ok = b.set(name, value);
+                cni_assert(ok);
+            }
+        }
+        return b;
     }
 };
 
@@ -203,120 +174,19 @@ parse(int argc, char **argv, const char *extraUsage = nullptr)
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--ni") {
-            o.ni = need(i);
-            ++i;
-        } else if (a == "--nodes") {
-            o.nodes = std::atoi(need(i));
-            ++i;
-        } else if (a == "--contexts") {
-            o.contexts = std::atoi(need(i));
-            ++i;
-        } else if (a == "--placement") {
-            o.placement = need(i);
-            ++i;
-        } else if (a == "--snarf") {
-            o.snarf = true;
-        } else if (a == "--net") {
-            o.net = need(i);
-            ++i;
-        } else if (a == "--coherence") {
-            o.coherence = need(i);
-            ++i;
-        } else if (a == "--dir-entries" || a == "--dir-assoc") {
-            // Strict parse: atoi's silent 0 would mean "exact full map"
-            // (or fail much later with a message that never names the
-            // flag), turning a typo into a different experiment.
-            const char *arg = need(i);
-            char *end = nullptr;
-            const long n = std::strtol(arg, &end, 10);
-            if (end == arg || *end != '\0' || n < 0 ||
-                n > (1 << 24)) {
-                std::fprintf(stderr,
-                             "%s: %s wants a non-negative integer, "
-                             "got '%s'\n",
-                             o.prog.c_str(), a.c_str(), arg);
+        const bool flag = a.rfind("--", 0) == 0;
+        const std::string name = flag ? a.substr(2) : "";
+        if (name == "snarf") {
+            o.machine.emplace_back(name, "true");
+        } else if (MachineBuilder::hasParam(name)) {
+            const char *value = need(i);
+            std::string why;
+            if (!MachineBuilder().set(name, value, &why)) {
+                std::fprintf(stderr, "%s: %s\n", o.prog.c_str(),
+                             why.c_str());
                 usage(1);
             }
-            if (a == "--dir-entries")
-                o.dirEntries = static_cast<int>(n);
-            else
-                o.dirAssoc = static_cast<int>(n);
-            ++i;
-        } else if (a == "--dir-hops") {
-            // Strict parse: only 3 and 4 are protocols we implement, and
-            // atoi's silent 0 (or trailing garbage) would either be
-            // rejected much later with a less direct message or run a
-            // different experiment.
-            const char *arg = need(i);
-            char *end = nullptr;
-            const long n = std::strtol(arg, &end, 10);
-            if (end == arg || *end != '\0' || (n != 3 && n != 4)) {
-                std::fprintf(stderr,
-                             "%s: --dir-hops wants 3 or 4, got '%s'\n",
-                             o.prog.c_str(), arg);
-                usage(1);
-            }
-            o.dirHops = n;
-            ++i;
-        } else if (a == "--hybrid-threshold") {
-            // Strict parse: atoi's silent 0 would be rejected by the
-            // builder with a message that never names this flag. The
-            // per-line counter saturates at 255, so larger thresholds
-            // could never fire.
-            const char *arg = need(i);
-            char *end = nullptr;
-            const long n = std::strtol(arg, &end, 10);
-            if (end == arg || *end != '\0' || n < 1 || n > 255) {
-                std::fprintf(stderr,
-                             "%s: --hybrid-threshold wants an integer "
-                             "in [1, 255], got '%s'\n",
-                             o.prog.c_str(), arg);
-                usage(1);
-            }
-            o.hybridThreshold = static_cast<int>(n);
-            ++i;
-        } else if (a == "--net-latency") {
-            o.netLatency = std::strtoull(need(i), nullptr, 10);
-            ++i;
-        } else if (a == "--link-bw") {
-            o.linkBw = std::strtoull(need(i), nullptr, 10);
-            ++i;
-        } else if (a == "--window") {
-            o.window = std::atoi(need(i));
-            ++i;
-        } else if (a == "--net-retry") {
-            o.netRetry = std::strtoull(need(i), nullptr, 10);
-            ++i;
-        } else if (a == "--mesh-dims") {
-            const char *spec = need(i);
-            const char *x = std::strchr(spec, 'x');
-            const int mx = x ? std::atoi(spec) : 0;
-            const int my = x ? std::atoi(x + 1) : 0;
-            if (mx < 1 || my < 1) {
-                std::fprintf(
-                    stderr,
-                    "%s: --mesh-dims wants positive XxY (e.g. 4x4), "
-                    "got '%s'\n",
-                    o.prog.c_str(), spec);
-                usage(1);
-            }
-            o.meshDims = {mx, my};
-            ++i;
-        } else if (a == "--threads") {
-            // Strict parse: atoi's silent 0 would select the serial
-            // kernel, making a typo look like "no speedup".
-            const char *arg = need(i);
-            char *end = nullptr;
-            const long n = std::strtol(arg, &end, 10);
-            if (end == arg || *end != '\0' || n < 0 || n > 4096) {
-                std::fprintf(stderr,
-                             "%s: --threads wants an integer in "
-                             "[0, 4096], got '%s'\n",
-                             o.prog.c_str(), arg);
-                usage(1);
-            }
-            o.threads = static_cast<int>(n);
+            o.machine.emplace_back(name, value);
             ++i;
         } else if (a == "--seed") {
             o.seed = std::strtoull(need(i), nullptr, 10);
@@ -326,7 +196,7 @@ parse(int argc, char **argv, const char *extraUsage = nullptr)
             ++i;
         } else if (a == "--help" || a == "-h") {
             usage(0);
-        } else if (a.rfind("--", 0) == 0) {
+        } else if (flag) {
             std::fprintf(stderr, "%s: unknown flag %s\n", o.prog.c_str(),
                          a.c_str());
             usage(1);
@@ -337,6 +207,7 @@ parse(int argc, char **argv, const char *extraUsage = nullptr)
 
     // Registry discovery: `--ni list`, `--net list`, `--coherence list`
     // print the registered names and exit successfully.
+    const MachineSpec given = o.spec(MachineBuilder());
     auto listAndExit = [](const char *what,
                           const std::vector<std::string> &names) {
         std::printf("registered %s models:\n", what);
@@ -344,11 +215,11 @@ parse(int argc, char **argv, const char *extraUsage = nullptr)
             std::printf("  %s\n", n.c_str());
         std::exit(0);
     };
-    if (o.ni && *o.ni == "list")
+    if (given.defaults.ni == "list")
         listAndExit("NI", NiRegistry::instance().names());
-    if (o.net && *o.net == "list")
+    if (given.net.topology == "list")
         listAndExit("interconnect", NetRegistry::instance().names());
-    if (o.coherence && *o.coherence == "list") {
+    if (given.coherence == "list") {
         // Richer than the generic lister: a backend's traits decide
         // which placements and knobs apply, so print them here instead
         // of making users cross-reference the source.
@@ -379,16 +250,17 @@ parse(int argc, char **argv, const char *extraUsage = nullptr)
     // A mistyped machine-wide flag must fail loudly here: benches that
     // sweep fixed configurations (fig6/fig7) treat unbuildable combos
     // as "n/a" cells, which would otherwise swallow the typo into an
-    // all-n/a table with a green exit code.
-    if (o.net && !NetRegistry::instance().known(*o.net)) {
+    // all-n/a table with a green exit code. (The defaults are
+    // registered, so checking the replayed spec checks the flags.)
+    if (!NetRegistry::instance().known(given.net.topology)) {
         cni_fatal("unknown interconnect '%s' (registered models: %s)",
-                  o.net->c_str(),
+                  given.net.topology.c_str(),
                   NetRegistry::instance().namesCsv().c_str());
     }
-    if (o.coherence && !CoherenceRegistry::instance().known(*o.coherence)) {
+    if (!CoherenceRegistry::instance().known(given.coherence)) {
         cni_fatal(
             "unknown coherence backend '%s' (registered backends: %s)",
-            o.coherence->c_str(),
+            given.coherence.c_str(),
             CoherenceRegistry::instance().namesCsv().c_str());
     }
 

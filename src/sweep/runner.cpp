@@ -1,8 +1,6 @@
 #include "sweep/runner.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <numeric>
 #include <vector>
 
@@ -16,52 +14,6 @@ namespace cni::sweep
 
 namespace
 {
-
-/** Strict integer parse; trailing garbage and out-of-range both fail. */
-bool
-parseInt(const std::string &text, long long lo, long long hi,
-         long long *out)
-{
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (errno == ERANGE || end == text.c_str() || *end != '\0')
-        return false;
-    if (v < lo || v > hi)
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parseBool(const std::string &text, bool *out)
-{
-    if (text == "true" || text == "1") {
-        *out = true;
-        return true;
-    }
-    if (text == "false" || text == "0") {
-        *out = false;
-        return true;
-    }
-    return false;
-}
-
-bool
-parsePlacement(const std::string &name, NiPlacement *out)
-{
-    if (name == "memory" || name == "memory-bus" || name == "mem")
-        *out = NiPlacement::MemoryBus;
-    else if (name == "io" || name == "io-bus")
-        *out = NiPlacement::IoBus;
-    else if (name == "cache" || name == "cache-bus")
-        *out = NiPlacement::CacheBus;
-    else
-        return false;
-    return true;
-}
 
 bool
 failParam(const std::string &name, const std::string &value,
@@ -90,7 +42,7 @@ runMicrobench(const std::string &workload, const MachineSpec &spec,
               std::string *why)
 {
     long long bytes = 64, warmup = 0, reps = 0;
-    if (!parseInt(paramOr(wl, "bytes", "64"), 1, 1 << 20, &bytes))
+    if (!parseIntIn(paramOr(wl, "bytes", "64"), 1, 1 << 20, &bytes))
         return failParam("bytes", paramOr(wl, "bytes", "64"),
                          "an integer in [1, 1048576]", why);
 
@@ -101,10 +53,10 @@ runMicrobench(const std::string &workload, const MachineSpec &spec,
     opts.timeoutTicks = timeoutTicks;
 
     if (workload == "roundtrip") {
-        if (!parseInt(paramOr(wl, "rounds", "16"), 1, 1 << 20, &reps))
+        if (!parseIntIn(paramOr(wl, "rounds", "16"), 1, 1 << 20, &reps))
             return failParam("rounds", paramOr(wl, "rounds", "16"),
                              "an integer in [1, 1048576]", why);
-        if (!parseInt(paramOr(wl, "warmup", "4"), 0, 1 << 20, &warmup))
+        if (!parseIntIn(paramOr(wl, "warmup", "4"), 0, 1 << 20, &warmup))
             return failParam("warmup", paramOr(wl, "warmup", "4"),
                              "an integer in [0, 1048576]", why);
         const LatencyResult r = roundTripLatency(
@@ -113,10 +65,10 @@ runMicrobench(const std::string &workload, const MachineSpec &spec,
         out->values = {{"microseconds", r.microseconds},
                        {"cycles", double(r.cycles)}};
     } else {
-        if (!parseInt(paramOr(wl, "messages", "64"), 1, 1 << 20, &reps))
+        if (!parseIntIn(paramOr(wl, "messages", "64"), 1, 1 << 20, &reps))
             return failParam("messages", paramOr(wl, "messages", "64"),
                              "an integer in [1, 1048576]", why);
-        if (!parseInt(paramOr(wl, "warmup", "8"), 0, 1 << 20, &warmup))
+        if (!parseIntIn(paramOr(wl, "warmup", "8"), 0, 1 << 20, &warmup))
             return failParam("warmup", paramOr(wl, "warmup", "8"),
                              "an integer in [0, 1048576]", why);
         const BandwidthResult r = streamBandwidth(
@@ -139,7 +91,7 @@ runCoverage(const MachineSpec &spec, const ParamList &wl,
             std::string *machineJson, std::string *why)
 {
     long long sharing = 1;
-    if (!parseInt(paramOr(wl, "sharing", "1"), 1, 4096, &sharing))
+    if (!parseIntIn(paramOr(wl, "sharing", "1"), 1, 4096, &sharing))
         return failParam("sharing", paramOr(wl, "sharing", "1"),
                          "an integer in [1, 4096]", why);
 
@@ -289,89 +241,10 @@ applyMachineParams(const ParamList &params, MachineBuilder *b,
                    ParamList *workloadParams, std::string *why)
 {
     for (const auto &[name, value] : params) {
-        long long n = 0;
-        if (name == "nodes") {
-            if (!parseInt(value, 1, 1 << 16, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 65536]", why);
-            b->nodes(int(n));
-        } else if (name == "contexts") {
-            if (!parseInt(value, 1, 4096, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 4096]", why);
-            b->contexts(int(n));
-        } else if (name == "threads") {
-            if (!parseInt(value, 0, 4096, &n))
-                return failParam(name, value,
-                                 "an integer in [0, 4096]", why);
-            b->threads(int(n));
-        } else if (name == "ni") {
-            b->ni(value);
-        } else if (name == "placement") {
-            NiPlacement p;
-            if (!parsePlacement(value, &p))
-                return failParam(name, value, "memory, io, or cache",
-                                 why);
-            b->placement(p);
-        } else if (name == "snarf") {
-            bool on = false;
-            if (!parseBool(value, &on))
-                return failParam(name, value, "true or false", why);
-            b->snarfing(on);
-        } else if (name == "net") {
-            b->net(value);
-        } else if (name == "coherence") {
-            b->coherence(value);
-        } else if (name == "dir-entries") {
-            if (!parseInt(value, 0, 1 << 24, &n))
-                return failParam(name, value,
-                                 "an integer in [0, 16777216]", why);
-            b->dirEntries(int(n));
-        } else if (name == "dir-assoc") {
-            if (!parseInt(value, 1, 1 << 24, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 16777216]", why);
-            b->dirAssoc(int(n));
-        } else if (name == "dir-hops") {
-            if (!parseInt(value, 3, 4, &n))
-                return failParam(name, value, "3 or 4", why);
-            b->dirHops(int(n));
-        } else if (name == "hybrid-threshold") {
-            if (!parseInt(value, 1, 255, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 255]", why);
-            b->hybridThreshold(int(n));
-        } else if (name == "net-latency") {
-            if (!parseInt(value, 1, 1ll << 32, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 2^32]", why);
-            b->netLatency(Tick(n));
-        } else if (name == "net-retry") {
-            if (!parseInt(value, 1, 1ll << 32, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 2^32]", why);
-            b->netRetry(Tick(n));
-        } else if (name == "link-bw") {
-            if (!parseInt(value, 1, 1 << 20, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 1048576]", why);
-            b->linkBandwidth(std::size_t(n));
-        } else if (name == "window") {
-            if (!parseInt(value, 1, 1 << 20, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 1048576]", why);
-            b->window(int(n));
-        } else if (name == "mesh-dims") {
-            const std::size_t x = value.find('x');
-            long long mx = 0, my = 0;
-            if (x == std::string::npos ||
-                !parseInt(value.substr(0, x), 1, 1 << 16, &mx) ||
-                !parseInt(value.substr(x + 1), 1, 1 << 16, &my))
-                return failParam(name, value, "XxY (e.g. 4x4)", why);
-            b->meshDims(int(mx), int(my));
-        } else {
+        if (!MachineBuilder::hasParam(name))
             workloadParams->emplace_back(name, value);
-        }
+        else if (!b->set(name, value, why))
+            return false;
     }
     return true;
 }

@@ -59,9 +59,10 @@ struct PointResult
 };
 
 /**
- * Apply the machine-parameter subset of `params` to `b`; the rest are
- * copied to `workloadParams` (order preserved). False + `why` on a
- * value that does not parse (validation of the *combination* is
+ * Apply the machine-parameter subset of `params` (the names
+ * MachineBuilder::set() knows) to `b`; the rest are copied to
+ * `workloadParams` (order preserved). False + `why` on a value that
+ * does not parse (validation of the *combination* is
  * MachineSpec::valid(), which the caller runs on b->spec()).
  */
 bool applyMachineParams(const ParamList &params, MachineBuilder *b,

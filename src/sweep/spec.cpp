@@ -54,9 +54,11 @@ validParamName(const std::string &name)
     return true;
 }
 
-/** Overlay `name=value`, replacing an existing binding of `name`. */
+} // namespace
+
 void
-bind(ParamList *params, const std::string &name, const std::string &value)
+bindParam(ParamList *params, const std::string &name,
+          const std::string &value)
 {
     for (auto &[k, v] : *params) {
         if (k == name) {
@@ -66,8 +68,6 @@ bind(ParamList *params, const std::string &name, const std::string &value)
     }
     params->emplace_back(name, value);
 }
-
-} // namespace
 
 std::string
 pointKey(const std::string &workload, ParamList params, std::uint64_t seed,
@@ -94,7 +94,7 @@ SweepSpec::expand() const
     for (;;) {
         ParamList merged = base;
         for (std::size_t a = 0; a < axes.size(); ++a)
-            bind(&merged, axes[a].name, axes[a].values[idx[a]]);
+            bindParam(&merged, axes[a].name, axes[a].values[idx[a]]);
         std::sort(merged.begin(), merged.end());
 
         for (const std::uint64_t seed : seeds) {
@@ -183,7 +183,7 @@ SweepSpec::fromJson(const JsonValue &doc, SweepSpec *out, std::string *why)
             if (!value.scalarText(&text))
                 return fail("base parameter '" + name +
                             "' must be a string, number, or boolean");
-            bind(&out->base, name, text);
+            bindParam(&out->base, name, text);
         }
     }
 

@@ -48,6 +48,10 @@ namespace cni::sweep
 /** All parameter values travel as strings; typing happens in runner. */
 using ParamList = std::vector<std::pair<std::string, std::string>>;
 
+/** Overlay `name=value`, replacing an existing binding of `name`. */
+void bindParam(ParamList *params, const std::string &name,
+               const std::string &value);
+
 /**
  * Default per-point simulated-tick budget (250 ms of simulated time at
  * 200 MHz) — generous for every microbenchmark point, small enough

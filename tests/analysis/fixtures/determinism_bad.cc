@@ -4,6 +4,12 @@
 
 #include "support.hpp"
 
+// The banned-include rule reads include lines as text; the guard keeps
+// the fixture hermetic (no system header is ever parsed).
+#if 0
+#include <chrono> // CNICHECK-EXPECT: banned-include
+#endif
+
 namespace cni_fix
 {
 

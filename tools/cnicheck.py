@@ -20,6 +20,12 @@ statically, seeing through typedefs, `using` aliases and `auto`:
     pointer-key         std::{map,set,unordered_map,unordered_set,...}
                         keyed by a pointer type: address-space layout
                         becomes simulation-visible.
+    banned-include      #include of <random>, <chrono>, <ctime>,
+                        <time.h> or <sys/time.h>: the core must not even
+                        include the headers those facilities come from,
+                        so a latent footgun is rejected at the border.
+                        A text rule, checked outside the engines, so
+                        both report it identically.
 
   event-callback hygiene (all of src/)
     dangling-capture    a lambda handed to EventQueue::scheduleAt/
@@ -57,7 +63,7 @@ runs instead. The fixture suite under tests/analysis/fixtures is the
 conformance contract both engines must satisfy exactly.
 
 Findings are fatal unless listed in tools/determinism_allowlist.txt
-(shared with lint_determinism.py) as `path:check` one per line.
+as `path:check`, one per line.
 
 Usage:
   tools/cnicheck.py [--root DIR] [--compdb BUILDDIR] [--engine auto|libclang|fallback]
@@ -82,7 +88,7 @@ CORE_DIRS = ("src/sim", "src/net", "src/coh", "src/core", "src/bus",
              "src/mem")
 
 DETERMINISM_CHECKS = ("wall-clock", "entropy", "unordered-iteration",
-                      "pointer-key")
+                      "pointer-key", "banned-include")
 HYGIENE_CHECKS = ("dangling-capture", "oversized-capture", "cow-data",
                   "mc-seam")
 ALL_CHECKS = DETERMINISM_CHECKS + HYGIENE_CHECKS
@@ -99,6 +105,14 @@ DEFERRED_TYPES = {"InlineFn", "Callback", "BarrierFn"}
 BANNED_CLOCKS = {"system_clock", "steady_clock", "high_resolution_clock"}
 BANNED_CLOCK_FNS = {"time", "clock", "gettimeofday", "clock_gettime"}
 BANNED_ENTROPY_FNS = {"rand", "srand", "random"}
+
+BANNED_HEADERS = {
+    "random": "entropy engines make runs unreproducible",
+    "chrono": "host clock readings are not reproducible",
+    "ctime": "wall-clock time entering simulation state",
+    "time.h": "wall-clock time entering simulation state",
+    "sys/time.h": "gettimeofday() wall-clock readings",
+}
 
 UNORDERED_CONTAINERS = {"unordered_map", "unordered_set",
                         "unordered_multimap", "unordered_multiset"}
@@ -1477,7 +1491,7 @@ class LibclangEngine:
 
 
 # ---------------------------------------------------------------------------
-# Allowlist (shared with lint_determinism.py)
+# Allowlist
 # ---------------------------------------------------------------------------
 
 def load_allowlist(path):
@@ -1494,6 +1508,30 @@ def load_allowlist(path):
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
+
+_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]')
+
+
+def banned_includes(files):
+    """banned-include: a text rule over include lines, shared by both
+    engines (an include needs no AST to classify)."""
+    diags = []
+    for path, rel in files:
+        text = pathlib.Path(path).read_text()
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            m = _INCLUDE_RE.match(line)
+            if m and m.group(1) in BANNED_HEADERS:
+                diags.append(Diag(rel, lineno, 1, "banned-include",
+                                  f"#include <{m.group(1)}>: "
+                                  f"{BANNED_HEADERS[m.group(1)]}"))
+    return diags
+
+
+def analyze(engine, files, **kwargs):
+    """Every check over `files`: the engine's plus the text rules."""
+    return (engine.analyze(files, set(ALL_CHECKS), **kwargs)
+            + banned_includes(files))
+
 
 def pick_engine(which):
     if which in ("auto", "libclang"):
@@ -1542,7 +1580,7 @@ def run_repo(args):
     kwargs = {}
     if isinstance(engine, LibclangEngine):
         kwargs["compdb"] = args.compdb
-    diags = engine.analyze(files, set(ALL_CHECKS), root=root, **kwargs)
+    diags = analyze(engine, files, root=root, **kwargs)
     diags = scope_checks(diags)
     allowed = load_allowlist(root / "tools" / "determinism_allowlist.txt")
     diags = [d for d in diags if f"{d.path}:{d.check}" not in allowed]
@@ -1593,7 +1631,7 @@ def run_fixtures(args):
     if not files:
         print(f"cnicheck: no *.cc fixtures in {fixdir}", file=sys.stderr)
         return 2
-    diags = engine.analyze(files, set(ALL_CHECKS))
+    diags = analyze(engine, files)
     got = {d.key() for d in diags}
     missing = expected - got
     extra = got - expected
@@ -1653,8 +1691,7 @@ def run_seed_bug(args):
         if support.exists():
             (pathlib.Path(td) / "support.hpp").write_text(
                 support.read_text())
-        diags = engine.analyze([(str(seeded), "seeded.cc")],
-                               set(ALL_CHECKS))
+        diags = analyze(engine, [(str(seeded), "seeded.cc")])
     found = {d.check for d in diags}
     want = {"unordered-iteration", "dangling-capture"}
     missed = want - found

@@ -15,12 +15,15 @@
  * 3 exploration truncated (maxStates hit — not an exhaustive proof).
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "coh/domain.hpp"
+#include "core/machine.hpp"
 #include "mc/checker.hpp"
 
 namespace
@@ -56,6 +59,14 @@ main(int argc, char **argv)
 {
     cni::McConfig cfg;
     std::string jsonOut;
+    // cnimc's machine flags, spelled and range-checked by the same
+    // table as the bench CLI's, over cnimc's own defaults (McConfig's
+    // directory geometry defaults to DirParams{}, as the builder's).
+    constexpr const char *kMachineFlags[] = {
+        "coherence", "dir-entries",      "dir-assoc",
+        "dir-hops",  "hybrid-threshold", "nodes"};
+    cni::MachineBuilder machine =
+        cni::Machine::describe().coherence(cfg.backend).nodes(cfg.nodes);
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -66,19 +77,17 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (arg == "--coherence") {
-            cfg.backend = value("--coherence");
-        } else if (arg == "--dir-entries") {
-            cfg.dir.entries = std::atoi(value("--dir-entries").c_str());
-        } else if (arg == "--dir-assoc") {
-            cfg.dir.assoc = std::atoi(value("--dir-assoc").c_str());
-        } else if (arg == "--dir-hops") {
-            cfg.dir.hops = std::atoi(value("--dir-hops").c_str());
-        } else if (arg == "--hybrid-threshold") {
-            cfg.dir.updThreshold =
-                std::atoi(value("--hybrid-threshold").c_str());
-        } else if (arg == "--nodes") {
-            cfg.nodes = std::atoi(value("--nodes").c_str());
+        const std::string name = arg.rfind("--", 0) == 0 ? arg.substr(2)
+                                                         : std::string();
+        const bool machineFlag =
+            std::find(std::begin(kMachineFlags), std::end(kMachineFlags),
+                      name) != std::end(kMachineFlags);
+        if (machineFlag) {
+            std::string why;
+            if (!machine.set(name, value(arg.c_str()), &why)) {
+                std::cerr << "cnimc: " << why << "\n";
+                return 2;
+            }
         } else if (arg == "--blocks") {
             cfg.blocks = std::atoi(value("--blocks").c_str());
         } else if (arg == "--max-states") {
@@ -101,9 +110,15 @@ main(int argc, char **argv)
         }
     }
 
-    if (cfg.backend != "snoop" && cfg.backend != "directory" &&
-        cfg.backend != "dragon" && cfg.backend != "hybrid") {
-        std::cerr << "cnimc: unknown backend '" << cfg.backend << "'\n";
+    const cni::MachineSpec &spec = machine.spec();
+    cfg.backend = spec.coherence;
+    cfg.dir = spec.dir;
+    cfg.nodes = spec.numNodes;
+    if (!cni::CoherenceRegistry::instance().known(cfg.backend)) {
+        std::cerr << "cnimc: parameter 'coherence': unknown backend '"
+                  << cfg.backend << "' (registered backends: "
+                  << cni::CoherenceRegistry::instance().namesCsv()
+                  << ")\n";
         return 2;
     }
     if (cfg.nodes < 1 || cfg.nodes > 8 || cfg.blocks < 1 ||
@@ -111,10 +126,6 @@ main(int argc, char **argv)
         std::cerr << "cnimc: --nodes must be 1..8, --blocks 1..16 "
                      "(exhaustive exploration only scales to tiny "
                      "machines)\n";
-        return 2;
-    }
-    if (cfg.dir.updThreshold < 1 || cfg.dir.updThreshold > 255) {
-        std::cerr << "cnimc: --hybrid-threshold must be 1..255\n";
         return 2;
     }
 
